@@ -243,6 +243,42 @@ class GraphIndex:
                     push(heap, (nd, v))
         return dist, parent, touched
 
+    def source_tree(
+        self, src: int
+    ) -> Tuple[List[float], List[int], List[float]]:
+        """One full shortest-path sweep from ``src``, plus per-node slack.
+
+        Returns ``(dist, parent, slack)``.  ``dist`` and ``parent`` are
+        :meth:`dijkstra_ids` with no destination; the tree path to any
+        ``t`` is the path an early-stopped search for ``t`` returns,
+        because every node on it is settled, and its parent frozen,
+        before ``t`` is.  ``slack[v]`` is the smallest reduced cost
+        ``dist[u] + w(u, v) - dist[v]`` over the non-tree edges ``(u, v)``
+        into ``v`` (``inf`` when ``v`` has none from a reached ``u``).
+
+        Any other simple path to ``t`` leaves the tree for the last time
+        on a non-tree edge into a node of the tree path, so it is longer
+        than ``dist[t]`` by at least the smallest slack along that path.
+        """
+        dist, parent, _ = self.dijkstra_ids(src)
+        n = len(self._names)
+        indptr = self._indptr
+        neighbors = self._neighbors
+        delays = self._delays
+        slack: List[float] = [_INF] * n
+        for u in range(n):
+            du = dist[u]
+            if du == _INF:
+                continue
+            for pos in range(indptr[u], indptr[u + 1]):
+                v = neighbors[pos]
+                if parent[v] == u:
+                    continue
+                reduced = du + delays[pos] - dist[v]
+                if reduced < slack[v]:
+                    slack[v] = reduced
+        return dist, parent, slack
+
     @staticmethod
     def extract_ids(parent: List[int], src: int, dst: int) -> IdPath:
         """Reconstruct the id path ``src -> dst`` from a parent array."""
