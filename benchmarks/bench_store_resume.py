@@ -19,7 +19,7 @@ from repro.routing import ShortestPathRouting
 
 
 def sp_factory(item):
-    return ShortestPathRouting(item.cache)
+    return ShortestPathRouting()
 
 
 def test_store_cold_vs_stored(benchmark, standard_workload, tmp_path_factory):

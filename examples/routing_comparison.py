@@ -40,7 +40,7 @@ def run_on(network) -> None:
 
     cache = KspCache(network)
     schemes = [
-        ShortestPathRouting(cache),
+        ShortestPathRouting(),
         EcmpRouting(cache),
         MplsTeRouting(cache=cache),
         B4Routing(cache=cache),

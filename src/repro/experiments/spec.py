@@ -145,7 +145,7 @@ def is_spawn_safe(factory: object) -> bool:
 # ----------------------------------------------------------------------
 @register_scheme("SP", "ShortestPath")
 def _build_sp(item: NetworkWorkload) -> RoutingScheme:
-    return ShortestPathRouting(cache=item.cache)
+    return ShortestPathRouting()
 
 
 @register_scheme("ECMP")

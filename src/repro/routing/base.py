@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.graph import Network
 from repro.net.paths import Path, path_delay_s, path_links, shortest_path_delays
@@ -51,7 +51,12 @@ class Placement:
         # amount so "could not fit the traffic" cases are identifiable.
         self.unplaced_bps: Dict[Aggregate, float] = dict(unplaced_bps or {})
         self._validate()
+        # Metric inputs, each computed once on first use.  Public methods
+        # hand out copies, so callers can never reach these.
         self._link_loads: Optional[Dict[Tuple[str, str], float]] = None
+        self._utilizations: Optional[Dict[Tuple[str, str], float]] = None
+        self._path_delays: Optional[Dict[Path, float]] = None
+        self._shortest: Optional[Dict[Aggregate, float]] = None
 
     def _validate(self) -> None:
         for agg, allocs in self._allocations.items():
@@ -85,8 +90,7 @@ class Placement:
     # ------------------------------------------------------------------
     # Link-level metrics
     # ------------------------------------------------------------------
-    def link_loads_bps(self) -> Dict[Tuple[str, str], float]:
-        """Traffic on every directed link (zero-load links included)."""
+    def _loads(self) -> Dict[Tuple[str, str], float]:
         if self._link_loads is None:
             loads = {link.key: 0.0 for link in self.network.links()}
             for agg, allocs in self._allocations.items():
@@ -95,23 +99,32 @@ class Placement:
                     for key in path_links(alloc.path):
                         loads[key] += rate
             self._link_loads = loads
-        return dict(self._link_loads)
+        return self._link_loads
+
+    def _utils(self) -> Dict[Tuple[str, str], float]:
+        if self._utilizations is None:
+            self._utilizations = {
+                key: load / self.network.link(*key).capacity_bps
+                for key, load in self._loads().items()
+            }
+        return self._utilizations
+
+    def link_loads_bps(self) -> Dict[Tuple[str, str], float]:
+        """Traffic on every directed link (zero-load links included)."""
+        return dict(self._loads())
 
     def link_utilizations(self) -> Dict[Tuple[str, str], float]:
-        return {
-            key: load / self.network.link(*key).capacity_bps
-            for key, load in self.link_loads_bps().items()
-        }
+        return dict(self._utils())
 
     def max_utilization(self) -> float:
-        utilizations = self.link_utilizations()
+        utilizations = self._utils()
         return max(utilizations.values()) if utilizations else 0.0
 
     def saturated_links(self) -> List[Tuple[str, str]]:
         """Directed links loaded strictly beyond capacity (congested)."""
         return [
             key
-            for key, utilization in self.link_utilizations().items()
+            for key, utilization in self._utils().items()
             if utilization > 1.0 + SATURATION_TOLERANCE
         ]
 
@@ -143,13 +156,37 @@ class Placement:
         return congested / len(self._allocations)
 
     def _shortest_delays(self) -> Dict[Aggregate, float]:
-        by_source: Dict[str, Dict[str, float]] = {}
-        delays: Dict[Aggregate, float] = {}
-        for agg in self._allocations:
-            if agg.src not in by_source:
-                by_source[agg.src] = shortest_path_delays(self.network, agg.src)
-            delays[agg] = by_source[agg.src][agg.dst]
-        return delays
+        """Each aggregate's shortest delay, from one sweep per source."""
+        if self._shortest is None:
+            by_source: Dict[str, Dict[str, float]] = {}
+            delays: Dict[Aggregate, float] = {}
+            for agg in self._allocations:
+                if agg.src not in by_source:
+                    by_source[agg.src] = shortest_path_delays(
+                        self.network, agg.src
+                    )
+                delays[agg] = by_source[agg.src][agg.dst]
+            self._shortest = delays
+        return self._shortest
+
+    def _delays(self) -> Dict[Path, float]:
+        """The delay of every distinct allocated path."""
+        if self._path_delays is None:
+            delays: Dict[Path, float] = {}
+            for allocs in self._allocations.values():
+                for alloc in allocs:
+                    if alloc.path not in delays:
+                        delays[alloc.path] = path_delay_s(
+                            self.network, alloc.path
+                        )
+            self._path_delays = delays
+        return self._path_delays
+
+    def _mean_delays(self) -> Iterator[Tuple[Aggregate, float]]:
+        """Each aggregate with its fraction-weighted mean path delay."""
+        delays = self._delays()
+        for agg, allocs in self._allocations.items():
+            yield agg, sum(alloc.fraction * delays[alloc.path] for alloc in allocs)
 
     def total_latency_stretch(self) -> float:
         """Flow-weighted delay relative to shortest paths.
@@ -161,11 +198,7 @@ class Placement:
         shortest = self._shortest_delays()
         actual_total = 0.0
         shortest_total = 0.0
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
+        for agg, mean_delay in self._mean_delays():
             actual_total += agg.n_flows * mean_delay
             shortest_total += agg.n_flows * shortest[agg]
         if shortest_total == 0.0:
@@ -180,23 +213,15 @@ class Placement:
         differ — the right quantity for before/after growth studies.
         """
         total = 0.0
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
+        for agg, mean_delay in self._mean_delays():
             total += agg.n_flows * mean_delay
         return total
 
     def per_aggregate_stretch(self) -> Dict[Aggregate, float]:
         """Mean delay stretch of each aggregate (1.0 = on shortest path)."""
         shortest = self._shortest_delays()
-        stretches = {}
-        for agg, allocs in self._allocations.items():
-            mean_delay = sum(
-                alloc.fraction * path_delay_s(self.network, alloc.path)
-                for alloc in allocs
-            )
+        stretches: Dict[Aggregate, float] = {}
+        for agg, mean_delay in self._mean_delays():
             stretches[agg] = mean_delay / shortest[agg] if shortest[agg] > 0 else 1.0
         return stretches
 
@@ -207,6 +232,7 @@ class Placement:
         ``d_p / d_sp`` over all (aggregate, used path) combinations.
         """
         shortest = self._shortest_delays()
+        delays = self._delays()
         worst = 1.0
         for agg, allocs in self._allocations.items():
             if shortest[agg] <= 0:
@@ -214,7 +240,7 @@ class Placement:
             for alloc in allocs:
                 if alloc.fraction <= 1e-6:
                     continue
-                stretch = path_delay_s(self.network, alloc.path) / shortest[agg]
+                stretch = delays[alloc.path] / shortest[agg]
                 worst = max(worst, stretch)
         return worst
 

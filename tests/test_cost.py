@@ -99,12 +99,12 @@ class TestStaticPredictor:
 
     def test_scheme_class_of_spec_and_closure(self):
         assert scheme_class(SchemeSpec("LDR", {"headroom": 0.1})) == "LDR"
-        assert scheme_class(lambda item: ShortestPathRouting(item.cache)) is None
+        assert scheme_class(lambda item: ShortestPathRouting()) is None
 
     def test_closure_gets_default_weight(self, small_item):
         model = CostModel()
         closure_cost = model.predict_item(
-            lambda item: ShortestPathRouting(item.cache), small_item
+            lambda item: ShortestPathRouting(), small_item
         )
         assert closure_cost == static_task_cost(
             small_item, None, DEFAULT_SCHEME_WEIGHT

@@ -1,4 +1,4 @@
-"""ECMP's tie search against the exhaustive "k paths, then filter" oracle.
+"""ECMP's tie search and SP's tree paths against per-pair Yen oracles.
 
 ``EcmpRouting.place`` proves most pairs tie-free from one shortest-path
 tree per source and sends only the rest to a lazy ``equal_cost_paths``.
@@ -7,6 +7,10 @@ former search did: Yen's first ``max_paths`` paths, filtered to those
 within ``ECMP_DELAY_TOLERANCE`` of the best.  The grids below have more
 than 16 tied paths per corner pair, so truncation at ``max_paths`` is
 exercised too.
+
+``ShortestPathRouting.place`` reads every path off one tree per source;
+it must return, for every aggregate, the path the former per-pair
+``KspCache.shortest`` (Yen's first path) did — ties included.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import telemetry
+from repro.experiments.spec import SchemeSpec
+from repro.experiments.workloads import NetworkWorkload
 from repro.net.graph import Network, Node
 from repro.net.index import LocalityPruner, graph_index
 from repro.net.ingest import synthesize_internet_like
@@ -27,11 +33,13 @@ from repro.net.mutate import connected_components, with_removed_duplex_link
 from repro.net.paths import KspCache, NoPathError, Path, path_delay_s
 from repro.net.units import Gbps, ms
 from repro.net.zoo import generate_zoo, gts_like
+from repro.routing.base import RoutingScheme
 from repro.routing.ecmp import (
     ECMP_DELAY_TOLERANCE,
     EcmpRouting,
     equal_cost_paths,
 )
+from repro.routing.shortest_path import ShortestPathRouting
 from repro.tm.matrix import TrafficMatrix
 
 MAX_PATHS = (1, 2, 16)
@@ -50,6 +58,14 @@ def reference_equal_cost_paths(
     best = path_delay_s(network, paths[0])
     threshold = best * (1.0 + ECMP_DELAY_TOLERANCE) + 1e-15
     return [p for p in paths if path_delay_s(network, p) <= threshold]
+
+
+def reference_shortest_paths(
+    network: Network, pairs: Sequence[Pair]
+) -> Dict[Pair, List[Path]]:
+    """The former SP search: each pair's first Yen path, one at a time."""
+    cache = KspCache(network)
+    return {pair: [cache.shortest(*pair)] for pair in pairs}
 
 
 def grid(n: int, jitter: float = 0.0, seed: int = 0) -> Network:
@@ -86,7 +102,7 @@ def sample_pairs(network: Network, n_pairs: int, seed: int) -> List[Pair]:
 
 
 def placed_paths(
-    scheme: EcmpRouting, network: Network, pairs: Sequence[Pair]
+    scheme: RoutingScheme, network: Network, pairs: Sequence[Pair]
 ) -> Dict[Pair, List[Path]]:
     tm = TrafficMatrix({pair: Gbps(1) for pair in pairs})
     placement = scheme.place(network, tm)
@@ -101,7 +117,11 @@ def placed_paths(
 
 
 def assert_parity(network: Network, pairs: Sequence[Pair]) -> Dict[str, int]:
-    """Check every ``max_paths`` in :data:`MAX_PATHS`; count ties seen."""
+    """Check SP, and ECMP at every ``max_paths`` in :data:`MAX_PATHS`;
+    count ties seen."""
+    assert placed_paths(ShortestPathRouting(), network, pairs) == (
+        reference_shortest_paths(network, pairs)
+    ), f"{network.name} SP"
     reference_cache = KspCache(network)
     counts = {"pairs": len(pairs), "tied": 0, "truncated": 0}
     for max_paths in MAX_PATHS:
@@ -281,6 +301,22 @@ class TestErrors:
         with pytest.raises(NoPathError):
             EcmpRouting().place(net, TrafficMatrix({("s", dst): Gbps(1)}))
 
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            (("nowhere", "t"), KeyError),
+            (("s", "nowhere"), NoPathError),
+            (("s", "u"), NoPathError),
+        ],
+    )
+    def test_sp_errors_are_the_ksp_caches(self, pair, error):
+        net = two_islands()
+        with pytest.raises(error) as expected:
+            KspCache(net).shortest(*pair)
+        with pytest.raises(error) as got:
+            ShortestPathRouting().place(net, TrafficMatrix({pair: Gbps(1)}))
+        assert str(got.value) == str(expected.value)
+
     def test_max_paths_below_one_rejected_at_construction(self):
         with pytest.raises(ValueError):
             EcmpRouting(max_paths=0)
@@ -319,13 +355,15 @@ class TestErrors:
 # Telemetry
 # ----------------------------------------------------------------------
 class TestTelemetry:
-    def _counters(self, tmp_path, network, tm) -> Dict[str, float]:
+    def _counters(
+        self, tmp_path, network, tm, scheme=None, counter="ecmp.yen_fallback"
+    ) -> Dict[str, float]:
         telemetry.configure(tmp_path)
         try:
-            EcmpRouting().place(network, tm)
+            (scheme or EcmpRouting()).place(network, tm)
             telemetry.recorder().flush()
             trace = telemetry.load_trace(tmp_path)
-            assert "ecmp.yen_fallback" in telemetry.render_summary(trace)
+            assert counter in telemetry.render_summary(trace)
             return trace.counters
         finally:
             telemetry.disable()
@@ -343,3 +381,21 @@ class TestTelemetry:
         assert counters["ecmp.pairs"] == len(gts_tm.aggregates())
         assert counters["ecmp.yen_fallback"] == 0
         assert counters.get("ksp.cache_miss", 0) == 0
+
+    def test_sp_records_one_tree_per_source(self, tmp_path, gts, gts_tm):
+        counters = self._counters(
+            tmp_path, gts, gts_tm, ShortestPathRouting(), "sp.source_trees"
+        )
+        aggregates = gts_tm.aggregates()
+        assert counters["sp.pairs"] == len(aggregates)
+        assert counters["sp.source_trees"] == len({a.src for a in aggregates})
+        assert counters.get("ksp.cache_miss", 0) == 0
+
+
+class TestSpCache:
+    def test_sp_leaves_the_workload_cache_untouched(self, gts, gts_tm):
+        item = NetworkWorkload(gts, llpd=0.0, matrices=[gts_tm])
+        placement = SchemeSpec("SP")(item).place(gts, gts_tm)
+        assert len(placement.aggregates) == len(gts_tm.aggregates())
+        assert item.cache.total_cached() == 0
+        assert item.cache.dump()["pairs"] == []

@@ -22,7 +22,7 @@ def workload():
 
 
 def sp_factory(item):
-    return ShortestPathRouting(item.cache)
+    return ShortestPathRouting()
 
 
 class TestSerialParallelEquivalence:

@@ -56,7 +56,7 @@ class TestWorkloads:
 class TestRunner:
     def test_evaluate_scheme_outcome_count(self, tiny_workload):
         outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
+            lambda item: ShortestPathRouting(), tiny_workload
         )
         assert len(outcomes) == 4 * 2
         for outcome in outcomes:
@@ -67,7 +67,7 @@ class TestRunner:
 
     def test_matrices_per_network_limits(self, tiny_workload):
         outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
+            lambda item: ShortestPathRouting(),
             tiny_workload,
             matrices_per_network=1,
         )
@@ -75,7 +75,7 @@ class TestRunner:
 
     def test_quantiles_sorted_by_llpd(self, tiny_workload):
         outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
+            lambda item: ShortestPathRouting(), tiny_workload
         )
         points = per_network_quantiles(outcomes, "congested_fraction", 0.5)
         assert len(points) == 4
@@ -84,14 +84,14 @@ class TestRunner:
 
     def test_quantile_validation(self, tiny_workload):
         outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
+            lambda item: ShortestPathRouting(), tiny_workload
         )
         with pytest.raises(ValueError):
             per_network_quantiles(outcomes, "congested_fraction", 1.5)
 
     def test_outcomes_carry_unique_network_ids(self, tiny_workload):
         outcomes = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache), tiny_workload
+            lambda item: ShortestPathRouting(), tiny_workload
         )
         ids = {o.network_id for o in outcomes}
         assert len(ids) == len(tiny_workload.networks)

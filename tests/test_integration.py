@@ -35,14 +35,10 @@ def shared_cache(gts_network):
 
 
 class TestPaperClaims:
-    def test_sp_congests_high_llpd_network(
-        self, gts_network, gts_matrix, shared_cache
-    ):
+    def test_sp_congests_high_llpd_network(self, gts_network, gts_matrix):
         """Figure 3: shortest-path routing concentrates traffic on
         high-LLPD networks."""
-        placement = ShortestPathRouting(shared_cache).place(
-            gts_network, gts_matrix
-        )
+        placement = ShortestPathRouting().place(gts_network, gts_matrix)
         assert placement.congested_pair_fraction() > 0.0
 
     def test_sp_fine_on_tree(self, rng):

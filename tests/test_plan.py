@@ -159,7 +159,7 @@ class TestEvalPlanApi:
         assert plan.spawn_safe()
         plan.add(
             "closure",
-            lambda item: ShortestPathRouting(item.cache),
+            lambda item: ShortestPathRouting(),
             workload,
         )
         assert not plan.spawn_safe()
@@ -168,7 +168,7 @@ class TestEvalPlanApi:
         plan = EvalPlan()
         plan.add(
             "closure",
-            lambda item: ShortestPathRouting(item.cache),
+            lambda item: ShortestPathRouting(),
             workload,
         )
         report = execute_plan(plan, n_workers=2)
@@ -310,7 +310,7 @@ class CountingFactory:
 
     def __call__(self, item):
         self.calls += 1
-        return ShortestPathRouting(item.cache)
+        return ShortestPathRouting()
 
 
 class TestPlanStore:
@@ -523,7 +523,7 @@ class TestPlanDispatch:
 
         plan = EvalPlan()
         plan.add(
-            "closure", lambda item: ShortestPathRouting(item.cache), workload
+            "closure", lambda item: ShortestPathRouting(), workload
         )
         with pytest.raises(DispatchError, match="non-SchemeSpec"):
             write_plan_manifests(plan, 2, tmp_path)

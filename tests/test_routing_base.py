@@ -1,14 +1,22 @@
 """Unit tests for Placement and its metrics."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.units import Gbps, ms
+from repro.net.zoo import gts_like
+from repro.routing import B4Routing, EcmpRouting, ShortestPathRouting
 from repro.routing.base import (
     PathAllocation,
     Placement,
     normalize_allocations,
 )
-from repro.tm.matrix import Aggregate
+from repro.tm.matrix import Aggregate, TrafficMatrix
+
+from tests.conftest import build_triangle, loaded_gts_tm
 
 
 def make_placement(network, allocs, unplaced=None):
@@ -196,3 +204,113 @@ class TestNormalizeAllocations:
         )
         assert cleaned[agg][0].path == ("a", "c", "b")
         assert cleaned[agg][0].fraction == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Metric inputs are computed once; results never depend on call order
+# ----------------------------------------------------------------------
+METRICS = (
+    "link_loads_bps",
+    "link_utilizations",
+    "max_utilization",
+    "saturated_links",
+    "congested_pair_fraction",
+    "total_latency_stretch",
+    "total_weighted_delay_s",
+    "per_aggregate_stretch",
+    "max_path_stretch",
+)
+
+
+def rebuilt(placement):
+    """A fresh Placement from the same allocations (nothing memoized)."""
+    return Placement(
+        placement.network,
+        {agg: placement.paths_for(agg) for agg in placement.aggregates},
+        unplaced_bps=placement.unplaced_bps,
+    )
+
+
+def comparable(value):
+    """Dicts by their items in order, so key order is compared too."""
+    return list(value.items()) if isinstance(value, dict) else value
+
+
+@functools.lru_cache(maxsize=None)
+def sample_placements():
+    """Single-path, evenly split, unevenly split and congested placements."""
+    gts = gts_like()
+    tm = loaded_gts_tm(gts)
+    hot = TrafficMatrix({pair: 3 * rate for pair, rate in tm.items()})
+    triangle = build_triangle()
+    agg = Aggregate("a", "b", Gbps(4))
+    split = Placement(
+        triangle,
+        {
+            agg: [
+                PathAllocation(("a", "b"), 0.75),
+                PathAllocation(("a", "c", "b"), 0.25),
+            ]
+        },
+        unplaced_bps={agg: Gbps(1)},
+    )
+    return (
+        ShortestPathRouting().place(gts, tm),
+        ShortestPathRouting().place(gts, hot),
+        EcmpRouting().place(gts, tm),
+        B4Routing().place(gts, hot),
+        split,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def expected_metric(which, name):
+    """``name`` on a fresh placement where it is the only call."""
+    return comparable(getattr(rebuilt(sample_placements()[which]), name)())
+
+
+class TestMetricMemo:
+    def test_samples_cover_congestion_and_splits(self):
+        placements = sample_placements()
+        assert any(p.congested_pair_fraction() > 0 for p in placements)
+        assert any(
+            len(p.paths_for(agg)) > 1
+            for p in placements
+            for agg in p.aggregates
+        )
+
+    @given(
+        which=st.integers(0, 4),
+        order=st.lists(st.sampled_from(METRICS), min_size=1, max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_call_order_matches_a_fresh_placement(self, which, order):
+        placement = rebuilt(sample_placements()[which])
+        for name in order:
+            got = comparable(getattr(placement, name)())
+            assert got == expected_metric(which, name), name
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_every_metric_twice_in_every_rotation(self, which):
+        for start in range(len(METRICS)):
+            placement = rebuilt(sample_placements()[which])
+            rotation = METRICS[start:] + METRICS[:start]
+            for name in rotation + rotation:
+                got = comparable(getattr(placement, name)())
+                assert got == expected_metric(which, name), name
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_mutating_returned_dicts_changes_nothing(self, which):
+        placement = rebuilt(sample_placements()[which])
+        for returned in (
+            placement.link_loads_bps(),
+            placement.link_utilizations(),
+            placement.per_aggregate_stretch(),
+        ):
+            for key in returned:
+                returned[key] = 1e18
+        placement.link_loads_bps().clear()
+        placement.link_utilizations().clear()
+        for name in METRICS:
+            got = comparable(getattr(placement, name)())
+            assert got == expected_metric(which, name), name

@@ -79,7 +79,7 @@ class TestRegistry:
     def test_register_scheme_decorator(self, workload):
         @register_scheme("TestOnlySP")
         def _build(item):
-            return ShortestPathRouting(cache=item.cache)
+            return ShortestPathRouting()
 
         try:
             assert isinstance(
@@ -119,7 +119,7 @@ class TestRoundTrip:
 
     def test_spawn_safety_classification(self):
         assert is_spawn_safe(SchemeSpec("SP"))
-        assert not is_spawn_safe(lambda item: ShortestPathRouting(item.cache))
+        assert not is_spawn_safe(lambda item: ShortestPathRouting())
 
 
 class TestSpawnPool:
@@ -139,7 +139,9 @@ class TestSpawnPool:
     def test_spawn_pool_uses_persistent_caches(self, workload, monkeypatch, tmp_path):
         import multiprocessing
 
-        spec = SchemeSpec("SP")
+        # B4 materializes Yen paths into the workload's KSP cache (SP and
+        # certified ECMP pairs take theirs from shortest-path trees).
+        spec = SchemeSpec("B4")
         first = ExperimentEngine(n_workers=1, cache_dir=tmp_path).run(
             spec, workload
         )
@@ -158,7 +160,7 @@ class TestSpawnPool:
         import logging
         import multiprocessing
 
-        factory = lambda item: ShortestPathRouting(item.cache)
+        factory = lambda item: ShortestPathRouting()
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )

@@ -32,7 +32,7 @@ def workload():
 @pytest.fixture(scope="module")
 def reference_outcomes(workload):
     """Outcomes of a plain storeless run, the ground truth for equality."""
-    return evaluate_scheme(lambda item: ShortestPathRouting(item.cache), workload)
+    return evaluate_scheme(lambda item: ShortestPathRouting(), workload)
 
 
 class CountingFactory:
@@ -43,7 +43,7 @@ class CountingFactory:
 
     def __call__(self, item):
         self.calls += 1
-        return ShortestPathRouting(item.cache)
+        return ShortestPathRouting()
 
 
 class TestWorkloadSignature:
@@ -274,7 +274,7 @@ class TestTornLineRecovery:
 class TestStoredEqualsRecomputed:
     def test_across_worker_counts(self, workload, tmp_path, reference_outcomes):
         stored_parallel = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
+            lambda item: ShortestPathRouting(),
             workload,
             n_workers=4,
             store_dir=tmp_path,
@@ -282,7 +282,7 @@ class TestStoredEqualsRecomputed:
         )
         assert stored_parallel == reference_outcomes
         served_serial = evaluate_scheme(
-            lambda item: ShortestPathRouting(item.cache),
+            lambda item: ShortestPathRouting(),
             workload,
             n_workers=1,
             store_dir=tmp_path,
@@ -351,7 +351,7 @@ class TestLifecycleTooling:
     def populate(self, store_dir, workload, schemes=("SP",)):
         for scheme in schemes:
             evaluate_scheme(
-                lambda item: ShortestPathRouting(item.cache),
+                lambda item: ShortestPathRouting(),
                 workload,
                 store_dir=store_dir,
                 scheme=scheme,
@@ -504,7 +504,7 @@ class TestTimingReplay:
         engine = ExperimentEngine(n_workers=1, store_dir=store_dir)
         results = list(
             engine.stream(
-                lambda item: ShortestPathRouting(item.cache),
+                lambda item: ShortestPathRouting(),
                 workload,
                 scheme="SP",
             )

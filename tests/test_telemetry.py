@@ -306,7 +306,15 @@ class TestProcessMerge:
         tasks = trace.by_name("task")
         assert len(tasks) == len(workload.networks)
         assert all(t.attrs.get("network_signature") for t in tasks)
-        assert trace.counters.get("ksp.cache_miss", 0) > 0
+        # Every child's counters land in the merged trace: SP builds one
+        # tree per distinct source of every matrix it places.
+        matrices = [tm for item in workload.networks for tm in item.matrices]
+        assert trace.counters.get("sp.source_trees") == sum(
+            len({agg.src for agg in tm.aggregates()}) for tm in matrices
+        )
+        assert trace.counters.get("sp.pairs") == sum(
+            len(tm.aggregates()) for tm in matrices
+        )
         assert len(report.results) == len(workload.networks)
 
     def test_fresh_interpreter_joins_through_environment(self, tmp_path):
@@ -587,7 +595,7 @@ class TestTraceCli:
             capsys,
         )
         assert code == 0
-        assert "ksp=" in out
+        assert "place=" in out and "task=" in out
 
         # A traced run rendered the same figure text as an untraced one.
         code, out, err = self.run_cli(
