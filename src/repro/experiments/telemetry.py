@@ -53,8 +53,10 @@ Span vocabulary (what :func:`summary` / ``trace critical-path`` report):
 ``ksp``                   Yen's k-shortest-paths materialization
 ``lp_assemble``           LP model assembly / compilation to solver
                           form; attrs carry backend + warm/cold
-``lp_solve``              one LP solve (scipy-HiGHS or highspy); attrs
-                          carry backend + warm/cold
+``lp_solve``              one LP solve (HiGHS, direct or via linprog);
+                          attrs carry backend + warm/cold + simplex
+                          ``iterations`` (summed by the
+                          ``lp.simplex_iterations`` counter)
 ``cache_load``/``_dump``  persistent KSP cache file I/O
 ``store_append``          one result-store record append
 ``manifest_write``        shard manifest serialization (dispatch)

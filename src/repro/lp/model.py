@@ -25,23 +25,36 @@ Two layers:
   plus senses, rhs, objective and bounds arrays.  The numeric payload
   (rhs, objective, bounds, column scales) can be mutated in place and the
   model re-solved without re-assembly; rows and columns can also be
-  appended.  A compiled model remembers that it has been solved, so
-  repeat solves are *warm*: the scipy path skips re-splitting the matrix
-  and the optional HiGHS path re-uses one ``Highs`` instance whose basis
-  carries over between solves.
+  appended.  The solver's view of the structure (row layout and
+  column-wise matrix) is built once and kept until a structural edit, so
+  a payload-only re-solve rebuilds only the bound vectors.  Every solve
+  starts HiGHS cold: results depend on the model alone, never on what
+  was solved before.
 
 Backends
 --------
-``REPRO_LP_BACKEND`` selects the solver: ``auto`` (default — ``highspy``
-when importable, else scipy), ``scipy`` (:func:`scipy.optimize.linprog`
-``method="highs"``), or ``highs`` (the native ``highspy`` bindings; an
-error when the package is missing).  Both backends drive the same HiGHS
-solver, and exact results are bit-identical between them; the native
-backend additionally keeps a warm simplex basis across payload mutations.
+Both backends run the same HiGHS on the same model, so their results are
+bit-identical.  ``REPRO_LP_BACKEND`` selects one:
+
+* ``highs`` — scipy's bundled HiGHS bindings
+  (``scipy.optimize._highspy._core``), called directly.  The model is the
+  one ``linprog(method="highs")`` builds from the same inputs: ``<=`` and
+  ``>=`` rows first in insertion order with ``>=`` rows negated, then the
+  ``==`` rows; the matrix column-wise; row lower bounds of ``-inf`` on
+  the inequality rows; and linprog's options (presolve on, dual simplex,
+  no debug checks, no output).  Like linprog, it rejects non-finite
+  objective, matrix or rhs entries (:class:`ValueError`) and checks an
+  optimal point against bounds, inequality slack and equality residuals
+  to within ``10 * sqrt(1e-9)`` (:class:`RuntimeError` otherwise).
+* ``scipy`` — :func:`scipy.optimize.linprog` ``method="highs"``: the
+  fallback for a scipy that moves the private module, and the reference
+  the direct path is tested against.
+* ``auto`` (default) — ``highs`` when its module imports, else ``scipy``.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 from dataclasses import dataclass
 from types import ModuleType
@@ -87,27 +100,29 @@ def _recorder() -> Any:
 #: Environment variable selecting the LP backend: auto | scipy | highs.
 BACKEND_ENV = "REPRO_LP_BACKEND"
 
-_highspy_module: Optional[ModuleType] = None
-_highspy_probed = False
+#: The HiGHS bindings scipy ships for ``linprog(method="highs")``.  The
+#: module is private to scipy, so it is probed rather than imported.
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+_highs_module: Any = None
+_highs_probed = False
 
 
-def _highspy() -> Optional[ModuleType]:
-    """The ``highspy`` module when importable, else ``None`` (memoized)."""
-    global _highspy_module, _highspy_probed
-    if not _highspy_probed:
-        _highspy_probed = True
+def _highs_core() -> Any:
+    """scipy's bundled HiGHS bindings when importable, else ``None``."""
+    global _highs_module, _highs_probed
+    if not _highs_probed:
+        _highs_probed = True
         try:
-            import highspy  # type: ignore[import-not-found]
+            _highs_module = importlib.import_module(HIGHS_MODULE)
         except ImportError:
-            _highspy_module = None
-        else:
-            _highspy_module = highspy
-    return _highspy_module
+            _highs_module = None
+    return _highs_module
 
 
 def available_backends() -> Tuple[str, ...]:
     """Backends usable in this environment, preferred first."""
-    if _highspy() is not None:
+    if _highs_core() is not None:
         return ("highs", "scipy")
     return ("scipy",)
 
@@ -116,22 +131,23 @@ def resolve_backend(name: Optional[str] = None) -> str:
     """Resolve a backend request (or ``$REPRO_LP_BACKEND``) to a name.
 
     Returns ``"scipy"`` or ``"highs"``.  ``auto`` (the default) prefers
-    the native ``highspy`` bindings when installed and falls back to
-    scipy; an explicit ``highs`` request without the package installed
-    is an error rather than a silent fallback.
+    scipy's bundled HiGHS bindings, called directly, and falls back to
+    :func:`scipy.optimize.linprog` when a scipy release has moved them;
+    an explicit ``highs`` request without them is an error rather than
+    a silent fallback.
     """
     value = name if name is not None else os.environ.get(BACKEND_ENV, "auto")
     value = value.strip().lower()
     if value in ("", "auto"):
-        return "highs" if _highspy() is not None else "scipy"
+        return "highs" if _highs_core() is not None else "scipy"
     if value == "scipy":
         return "scipy"
-    if value in ("highs", "highspy"):
-        if _highspy() is None:
+    if value == "highs":
+        if _highs_core() is None:
             raise RuntimeError(
                 "LP backend 'highs' requested (REPRO_LP_BACKEND or call "
-                "site) but the highspy package is not installed; use "
-                "'scipy' or 'auto' instead"
+                f"site) but {HIGHS_MODULE} is not importable in this "
+                "scipy; use 'scipy' or 'auto' instead"
             )
         return "highs"
     raise ValueError(
@@ -245,6 +261,47 @@ SENSE_EQ = 2
 
 _SENSE_CODE = {"<=": SENSE_LE, ">=": SENSE_GE, "==": SENSE_EQ}
 
+#: How far an optimal point may violate a bound, an inequality row or an
+#: equality row before the solve is rejected (linprog's ``10 * sqrt(tol)``
+#: at its default ``tol=1e-9``).
+FEASIBILITY_TOL = float(np.sqrt(1e-9) * 10)
+
+_highs_options_cache: Any = None
+
+
+def _highs_options(core: Any) -> Any:
+    """The options ``linprog(method="highs")`` sets, and no others."""
+    global _highs_options_cache
+    if _highs_options_cache is None:
+        options = core.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = (
+            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        )
+        _highs_options_cache = options
+    return _highs_options_cache
+
+
+@dataclass(frozen=True)
+class _HighsLayout:
+    """A model's structure as HiGHS receives it.
+
+    HiGHS row ``i`` is original row ``rows[i]``: the ``<=``/``>=`` rows
+    in insertion order, then the ``==`` rows.  ``signs`` (in HiGHS row
+    order) negates the ``>=`` rows; the column-wise matrix
+    (``start``/``index``/``value``) has the signs applied.
+    """
+
+    rows: IntArray
+    n_ub: int
+    signs: FloatArray
+    start: npt.NDArray[np.int32]
+    index: npt.NDArray[np.int32]
+    value: FloatArray
+
 
 def _as_float_array(values: Union[Sequence[float], FloatArray]) -> FloatArray:
     return np.ascontiguousarray(np.asarray(values, dtype=np.float64))
@@ -283,15 +340,15 @@ class CompiledLP:
     """A solver-ready LP: canonical CSR matrix plus numeric payload.
 
     The matrix holds every row in insertion order with its *original*
-    sense (no ``>=`` negation baked in); scipy's ``A_ub``/``A_eq`` split
-    is derived lazily and cached.  Payload mutators (:meth:`set_rhs`,
-    :meth:`set_objective`, :meth:`set_variable_bounds`) keep the matrix —
-    and any warm solver state — intact; structural mutators
-    (:meth:`scale_columns`, :meth:`add_rows`, :meth:`add_columns`)
-    invalidate the derived views and the native-backend model.
+    sense (no ``>=`` negation baked in); each backend's view of it (the
+    HiGHS row layout, scipy's ``A_ub``/``A_eq`` split) is derived lazily
+    and cached.  Payload mutators (:meth:`set_rhs`,
+    :meth:`set_objective`, :meth:`set_variable_bounds`) keep the matrix
+    and the derived views; structural mutators (:meth:`scale_columns`,
+    :meth:`add_rows`, :meth:`add_columns`) invalidate the views.
 
-    A model that has been solved once is *warm*: repeat solves skip the
-    split (scipy) or re-enter HiGHS with the previous basis (highspy).
+    A model that has been solved once is *warm*: repeat solves reuse the
+    derived view.  The solver itself always starts cold.
     """
 
     def __init__(
@@ -319,9 +376,9 @@ class CompiledLP:
             or self._upper.shape[0] != n_cols
         ):
             raise ValueError("c/bounds length != matrix column count")
-        # Lazily derived scipy views: (ub_idx, eq_idx, a_ub, a_eq).
+        # Lazily derived views of the structure, one per backend.
+        self._layout: Optional[_HighsLayout] = None
         self._split: Optional[Tuple[IntArray, IntArray, Any, Any]] = None
-        self._highs: Any = None
         self._solved = False
 
     # ------------------------------------------------------------------
@@ -375,7 +432,7 @@ class CompiledLP:
         return self._rhs
 
     # ------------------------------------------------------------------
-    # Payload mutators: keep the matrix and warm solver state.
+    # Payload mutators: keep the matrix and its derived views.
     # ------------------------------------------------------------------
     def set_rhs(
         self,
@@ -418,11 +475,11 @@ class CompiledLP:
             self._upper[index] = np.asarray(upper, dtype=np.float64)
 
     # ------------------------------------------------------------------
-    # Structural mutators: invalidate derived views and native state.
+    # Structural mutators: invalidate the derived views.
     # ------------------------------------------------------------------
     def _touch_structure(self) -> None:
+        self._layout = None
         self._split = None
-        self._highs = None
         self._solved = False
 
     def scale_columns(
@@ -512,6 +569,40 @@ class CompiledLP:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
+    def _ensure_layout(self) -> _HighsLayout:
+        """The cached HiGHS view of the structure (built on first use)."""
+        if self._layout is None:
+            if self.n_variables == 0:
+                raise ValueError("an LP needs at least one variable")
+            a = self._a
+            if not bool(np.isfinite(a.data).all()):
+                raise ValueError("LP matrix must not contain inf or nan")
+            n_rows, n_cols = self.n_rows, self.n_variables
+            equality = self._senses == SENSE_EQ
+            rows = np.concatenate(
+                [np.flatnonzero(~equality), np.flatnonzero(equality)]
+            )
+            position = np.empty(n_rows, dtype=np.int64)
+            position[rows] = np.arange(n_rows)
+            signs = np.where(self._senses == SENSE_GE, -1.0, 1.0)
+            # CSR -> CSC of the reordered rows: entries sorted by (column,
+            # new row), as linprog's conversion of the stacked matrix
+            # leaves them.  The keys are unique, so any sort gives this.
+            counts = np.diff(a.indptr)
+            entry_row = np.repeat(position, counts)
+            order = np.argsort(a.indices.astype(np.int64) * n_rows + entry_row)
+            start = np.zeros(n_cols + 1, dtype=np.int32)
+            np.cumsum(np.bincount(a.indices, minlength=n_cols), out=start[1:])
+            self._layout = _HighsLayout(
+                rows=cast(IntArray, rows),
+                n_ub=n_rows - int(np.count_nonzero(equality)),
+                signs=signs[rows],
+                start=start,
+                index=entry_row[order].astype(np.int32),
+                value=(a.data * np.repeat(signs, counts))[order],
+            )
+        return self._layout
+
     def _ensure_split(self) -> Tuple[IntArray, IntArray, Any, Any]:
         """The cached scipy view: ub/eq row ids + sign-applied slices."""
         if self._split is None:
@@ -548,8 +639,8 @@ class CompiledLP:
     def solve(self, backend: Optional[str] = None) -> Solution:
         """Solve; raises on infeasible/unbounded models.
 
-        The exact optimum is backend-independent; only wall time and
-        warm-start behaviour differ.
+        The result is backend-independent, bit for bit; only wall time
+        differs.
         """
         resolved = resolve_backend(backend)
         warm = self._solved
@@ -561,6 +652,84 @@ class CompiledLP:
             solution = self._solve_scipy(recorder, attrs)
         self._solved = True
         return solution
+
+    def _solve_highs(
+        self, recorder: Any, attrs: Optional[Dict[str, object]]
+    ) -> Solution:
+        core = _highs_core()
+        with recorder.span("lp_assemble", attrs):
+            layout = self._ensure_layout()
+            if not bool(np.isfinite(self._c).all()):
+                raise ValueError("LP objective must not contain inf or nan")
+            if not bool(np.isfinite(self._rhs).all()):
+                raise ValueError("LP right-hand side must not contain inf or nan")
+            n_ub = layout.n_ub
+            row_upper = self._rhs[layout.rows] * layout.signs
+            row_lower = row_upper.copy()
+            row_lower[:n_ub] = -np.inf
+            # linprog reads a NaN bound as "no bound".
+            lower = np.where(np.isnan(self._lower), -np.inf, self._lower)
+            upper = np.where(np.isnan(self._upper), np.inf, self._upper)
+        with recorder.span("lp_solve", attrs):
+            highs = core._Highs()
+            if highs.passOptions(_highs_options(core)) == core.HighsStatus.kError:
+                raise RuntimeError("HiGHS rejected the solver options")
+            # The array overload of passModel copies the buffers without
+            # a per-element conversion.  It requires an integrality
+            # vector; all-continuous is what HiGHS assumes without one.
+            passed = highs.passModel(
+                self.n_variables,
+                self.n_rows,
+                int(layout.value.shape[0]),
+                int(core.MatrixFormat.kColwise),
+                int(core.ObjSense.kMinimize),
+                0.0,
+                self._c,
+                lower,
+                upper,
+                row_lower,
+                row_upper,
+                layout.start,
+                layout.index,
+                layout.value,
+                np.zeros(self.n_variables, dtype=np.int32),
+            )
+            if passed == core.HighsStatus.kError:
+                status = core.HighsModelStatus.kModelError
+                ran = False
+            else:
+                ran = highs.run() != core.HighsStatus.kError
+                status = highs.getModelStatus()
+            info = highs.getInfo()
+            iterations = int(info.simplex_iteration_count)
+            if attrs is not None:
+                attrs["iterations"] = iterations
+        recorder.counter("lp.simplex_iterations", iterations)
+        statuses = core.HighsModelStatus
+        if status == statuses.kOptimal and ran:
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            objective = float(info.objective_function_value)
+            residual = row_upper - np.array(solution.row_value)
+            # Written so that a NaN anywhere fails a comparison.
+            feasible = (
+                not np.isnan(objective)
+                and bool(np.all(x >= lower - FEASIBILITY_TOL))
+                and bool(np.all(x <= upper + FEASIBILITY_TOL))
+                and bool(np.all(residual[:n_ub] >= -FEASIBILITY_TOL))
+                and bool(np.all(np.abs(residual[n_ub:]) <= FEASIBILITY_TOL))
+            )
+            if not feasible:
+                raise RuntimeError(
+                    "HiGHS reported an optimum that violates the model "
+                    f"by more than {FEASIBILITY_TOL:.2e}"
+                )
+            return Solution(objective, x)
+        if status in (statuses.kInfeasible, statuses.kModelError):
+            raise InfeasibleError("LP is infeasible")
+        if status == statuses.kUnbounded:
+            raise UnboundedError("LP is unbounded")
+        raise RuntimeError(f"HiGHS terminated with model status {status.name}")
 
     def _solve_scipy(
         self, recorder: Any, attrs: Optional[Dict[str, object]]
@@ -583,69 +752,16 @@ class CompiledLP:
                 bounds=bounds,
                 method="highs",
             )
+            if attrs is not None:
+                attrs["iterations"] = int(result.nit)
+        recorder.counter("lp.simplex_iterations", int(result.nit))
         if result.status == 2:
             raise InfeasibleError("LP is infeasible")
         if result.status == 3:
             raise UnboundedError("LP is unbounded")
-        if not result.success:  # pragma: no cover - solver failure
+        if not result.success:
             raise RuntimeError(f"solver failed: {result.message}")
         return Solution(float(result.fun), np.asarray(result.x))
-
-    def _solve_highs(
-        self, recorder: Any, attrs: Optional[Dict[str, object]]
-    ) -> Solution:  # pragma: no cover - exercised only with highspy
-        module = _highspy()
-        if module is None:
-            raise RuntimeError("highspy backend selected but not installed")
-        with recorder.span("lp_assemble", attrs):
-            le = self._senses == SENSE_LE
-            ge = self._senses == SENSE_GE
-            row_lower = np.where(le, -np.inf, self._rhs)
-            row_upper = np.where(ge, np.inf, self._rhs)
-            highs = self._highs
-            if highs is None:
-                highs = module.Highs()
-                highs.setOptionValue("output_flag", False)
-                highs.setOptionValue("threads", 1)
-                lp = module.HighsLp()
-                lp.num_col_ = self.n_variables
-                lp.num_row_ = self.n_rows
-                lp.col_cost_ = self._c
-                lp.col_lower_ = self._lower
-                lp.col_upper_ = self._upper
-                lp.row_lower_ = row_lower
-                lp.row_upper_ = row_upper
-                lp.a_matrix_.format_ = module.MatrixFormat.kRowwise
-                lp.a_matrix_.start_ = self._a.indptr
-                lp.a_matrix_.index_ = self._a.indices
-                lp.a_matrix_.value_ = self._a.data
-                highs.passModel(lp)
-                self._highs = highs
-            else:
-                # Re-apply the (cheap, vectorized) numeric payload; the
-                # instance keeps its basis, so this is the warm path.
-                col_idx = np.arange(self.n_variables, dtype=np.int32)
-                row_idx = np.arange(self.n_rows, dtype=np.int32)
-                highs.changeColsCost(self.n_variables, col_idx, self._c)
-                highs.changeColsBounds(
-                    self.n_variables, col_idx, self._lower, self._upper
-                )
-                highs.changeRowsBounds(
-                    self.n_rows, row_idx, row_lower, row_upper
-                )
-        with recorder.span("lp_solve", attrs):
-            highs.run()
-        status = highs.getModelStatus()
-        statuses = module.HighsModelStatus
-        if status == statuses.kInfeasible:
-            raise InfeasibleError("LP is infeasible")
-        if status in (statuses.kUnbounded, statuses.kUnboundedOrInfeasible):
-            raise UnboundedError("LP is unbounded")
-        if status != statuses.kOptimal:
-            raise RuntimeError(f"HiGHS terminated with status {status!r}")
-        point = np.asarray(highs.getSolution().col_value, dtype=np.float64)
-        objective = float(highs.getInfo().objective_function_value)
-        return Solution(objective, point)
 
 
 @dataclass
@@ -671,7 +787,7 @@ class LinearProgram:
 
     ``solve()`` compiles to a :class:`CompiledLP` and caches it; repeat
     solves without intervening edits reuse the compiled model (and its
-    warm solver state).  Call :meth:`compile` for a standalone compiled
+    cached solver layout).  Call :meth:`compile` for a standalone compiled
     model to mutate and re-solve directly.
     """
 

@@ -28,6 +28,7 @@ from repro.lp import (
     Solution,
     UnboundedError,
     available_backends,
+    model,
     resolve_backend,
 )
 from repro.net.paths import KspCache
@@ -282,12 +283,31 @@ class TestBackends:
     def test_available_backends_always_has_scipy(self):
         assert "scipy" in available_backends()
 
-    @pytest.mark.skipif(
-        "highs" in available_backends(), reason="highspy installed"
-    )
-    def test_explicit_highs_without_package_errors(self):
-        with pytest.raises(RuntimeError, match="highspy"):
+    @staticmethod
+    def _break_highs_probe(monkeypatch):
+        """Make the probe for scipy's HiGHS module fail to import."""
+        monkeypatch.setattr(model, "HIGHS_MODULE", "scipy.optimize._moved")
+        monkeypatch.setattr(model, "_highs_probed", False)
+        monkeypatch.setattr(model, "_highs_module", None)
+
+    def test_explicit_highs_without_package_errors(self, monkeypatch):
+        self._break_highs_probe(monkeypatch)
+        with pytest.raises(RuntimeError, match="not importable"):
             resolve_backend("highs")
+
+    def test_auto_falls_back_to_scipy_without_highs(self, gts, monkeypatch):
+        path_sets = _paper_case(gts)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        assert resolve_backend() == "highs"
+        direct = solve_latency_lp(gts, path_sets)
+        clear_structure_cache()
+        self._break_highs_probe(monkeypatch)
+        assert available_backends() == ("scipy",)
+        assert resolve_backend() == "scipy"
+        assert resolve_backend("auto") == "scipy"
+        fallback = solve_latency_lp(gts, path_sets)
+        assert fallback.fractions == direct.fractions
+        assert fallback.objective == direct.objective
 
 
 # ----------------------------------------------------------------------
